@@ -83,8 +83,8 @@ pub use reorder::{
 };
 pub use search::{
     beam_search, beam_search_coalesced, beam_search_frozen, beam_search_terminated,
-    beam_search_with_sink, greedy_search, greedy_search_budgeted, greedy_search_with,
-    serial_scan, SearchResult, SearchScratch, SearchStats, COALESCE_LANES,
+    beam_search_visit, beam_search_with_sink, serial_scan, SearchResult, SearchScratch,
+    SearchStats, Visit, COALESCE_LANES,
 };
 pub use seed::{FixedSeed, MedoidSeed, RandomSeeds, SeedProvider, StaticSeeds};
 pub use sharded::{ShardedIndex, ShardedParams};

@@ -1,11 +1,32 @@
-//! Beam search — Algorithm 1 of the paper — plus the greedy 1-NN descent
-//! used by hierarchical seed selection.
+//! Beam search — Algorithm 1 of the paper — as one traversal step shared
+//! by every query and construction search.
 //!
 //! Every state-of-the-art graph method answers queries with the *same*
 //! best-first beam search; they differ only in the graph they traverse and
 //! the seeds they start from. This module is therefore the single search
 //! implementation shared by all methods in `gass-graphs`, which is exactly
 //! the normalization the paper performs across its twelve baselines.
+//!
+//! A search is one step × a scorer × a visit hook × a driver:
+//!
+//! - **Step** (`Lane::expand` + `Lane::settle`): pop the closest
+//!   unexpanded candidate, ask the [`Termination`] policy whether to stop,
+//!   visited-filter and prefetch its neighbor list, score the survivors
+//!   four at a time through the batched kernel (scalar tail), insert them
+//!   into the candidate buffer, and update the policy's state.
+//! - **Scorer**: exact `f32` distances on the [`Space`], or code-space
+//!   distances from a query prepared for the attached
+//!   [`CodecStore`](crate::quant::CodecStore). A code-space search widens
+//!   the buffer to the rerank pool and ends with one exact rerank.
+//! - **Visit hook** ([`Visit`]): none (`()`), the construction sink that
+//!   records every evaluation (NSG, Vamana), or a gate that drops
+//!   neighbors before they are scored (LSHAPG's sketch routing).
+//! - **Driver**: a sequential search drives one lane to the end;
+//!   [`beam_search_coalesced`] drives up to [`COALESCE_LANES`] lanes in
+//!   lockstep through the same step.
+//!
+//! Scorer and hook are type parameters, so every combination is
+//! statically dispatched and the no-op hook compiles away.
 
 use crate::distance::Space;
 use crate::graph::GraphView;
@@ -44,6 +65,8 @@ pub struct SearchScratch {
     /// Query mapped into quantized code space (reused across queries so
     /// the quantized path allocates nothing per search after warmup).
     pub prepared: PreparedQuery,
+    /// First-visit neighbors of the current expansion awaiting scoring.
+    pending: Vec<u32>,
 }
 
 impl SearchScratch {
@@ -53,6 +76,7 @@ impl SearchScratch {
             visited: VisitedSet::new(n),
             buffer: SortedBuffer::new(l.max(1)),
             prepared: PreparedQuery::default(),
+            pending: Vec::new(),
         }
     }
 
@@ -61,6 +85,231 @@ impl SearchScratch {
         self.visited.resize(n);
         self.visited.clear();
         self.buffer.reset(l.max(1));
+        // Empty after every finished search, but not after one that
+        // panicked mid-expansion (thread-local lane scratches outlive it).
+        self.pending.clear();
+    }
+}
+
+/// Per-expansion hook of the traversal step. Every method defaults to a
+/// no-op, and the hook is a type parameter of the search, so an unused
+/// method costs nothing in the hot loop.
+pub trait Visit {
+    /// Called once per expansion, after the pop and the termination
+    /// check, before the neighbor list is read.
+    fn begin(&mut self, _buffer: &SortedBuffer) {}
+
+    /// `true` drops first-visit neighbor `id` without scoring it (it
+    /// stays visited). Never asked about seeds.
+    fn prune(&self, _id: u32) -> bool {
+        false
+    }
+
+    /// Sees every evaluated candidate, seeds included, in evaluation
+    /// order.
+    fn record(&mut self, _n: Neighbor) {}
+}
+
+/// No hook: plain Algorithm 1.
+impl Visit for () {}
+
+/// The construction sink: records every evaluated node, for methods that
+/// select edges from a search's visited list (NSG, Vamana).
+impl Visit for Option<&mut Vec<Neighbor>> {
+    #[inline]
+    fn record(&mut self, n: Neighbor) {
+        if let Some(sink) = self {
+            sink.push(n);
+        }
+    }
+}
+
+/// How a lane scores candidates. `four` is bit-identical to four `one`
+/// calls, so the grouping never shows in results or counter totals.
+trait Scorer<'a> {
+    fn new(space: Space<'a>, query: &'a [f32], prepared: &'a PreparedQuery) -> Self;
+    fn prefetch(&self, id: u32);
+    fn one(&self, id: u32) -> f32;
+    fn four(&self, ids: [u32; 4]) -> [f32; 4];
+}
+
+/// Exact `f32` distances to the query.
+struct Exact<'a> {
+    space: Space<'a>,
+    query: &'a [f32],
+}
+
+impl<'a> Scorer<'a> for Exact<'a> {
+    fn new(space: Space<'a>, query: &'a [f32], _: &'a PreparedQuery) -> Self {
+        Self { space, query }
+    }
+    #[inline]
+    fn prefetch(&self, id: u32) {
+        self.space.prefetch(id);
+    }
+    #[inline]
+    fn one(&self, id: u32) -> f32 {
+        self.space.dist_to(self.query, id)
+    }
+    #[inline]
+    fn four(&self, ids: [u32; 4]) -> [f32; 4] {
+        self.space.dist_to_batch(self.query, ids)
+    }
+}
+
+/// Code-space distances from the prepared query (counted as `u8`).
+struct Coded<'a> {
+    space: Space<'a>,
+    prepared: &'a PreparedQuery,
+}
+
+impl<'a> Scorer<'a> for Coded<'a> {
+    fn new(space: Space<'a>, _: &'a [f32], prepared: &'a PreparedQuery) -> Self {
+        Self { space, prepared }
+    }
+    #[inline]
+    fn prefetch(&self, id: u32) {
+        self.space.qprefetch(id);
+    }
+    #[inline]
+    fn one(&self, id: u32) -> f32 {
+        self.space.qdist_to(self.prepared, id)
+    }
+    #[inline]
+    fn four(&self, ids: [u32; 4]) -> [f32; 4] {
+        self.space.qdist_to_batch(self.prepared, ids)
+    }
+}
+
+/// Scores `ids` in order, four at a time through the batched kernel with
+/// a scalar tail, handing each result to `emit`. Returns the number of
+/// evaluations.
+#[inline]
+fn score<'a, S: Scorer<'a>>(scorer: &S, ids: &[u32], mut emit: impl FnMut(Neighbor)) -> usize {
+    let mut groups = ids.chunks_exact(4);
+    for g in &mut groups {
+        let g = [g[0], g[1], g[2], g[3]];
+        for (id, d) in g.into_iter().zip(scorer.four(g)) {
+            emit(Neighbor::new(id, d));
+        }
+    }
+    for &id in groups.remainder() {
+        emit(Neighbor::new(id, scorer.one(id)));
+    }
+    ids.len()
+}
+
+/// One query's traversal: the scratch it runs in, how it scores, its
+/// hook, its termination state and its counters.
+struct Lane<'s, S, V> {
+    visited: &'s mut VisitedSet,
+    buffer: &'s mut SortedBuffer,
+    pending: &'s mut Vec<u32>,
+    scorer: S,
+    visit: V,
+    term: TermState,
+    stats: SearchStats,
+}
+
+impl<'s, S: Scorer<'s>, V: Visit> Lane<'s, S, V> {
+    /// Opens a lane on a prepared `scratch` (its query already prepared
+    /// when scoring in code space) and visited-filters and prefetches the
+    /// seeds below `n`; `score` evaluates them.
+    fn open(
+        scratch: &'s mut SearchScratch,
+        space: Space<'s>,
+        query: &'s [f32],
+        seeds: &[u32],
+        n: usize,
+        term: TermState,
+        visit: V,
+    ) -> Self {
+        let SearchScratch { visited, buffer, prepared, pending } = scratch;
+        let scorer = S::new(space, query, prepared);
+        for &s in seeds {
+            if (s as usize) < n && visited.insert(s) {
+                scorer.prefetch(s);
+                pending.push(s);
+            }
+        }
+        Self { visited, buffer, pending, scorer, visit, term, stats: SearchStats::default() }
+    }
+
+    /// Scores the pending candidates, shows them to the hook and inserts
+    /// them into the buffer.
+    #[inline]
+    fn score(&mut self) {
+        let evaluated = score(&self.scorer, self.pending, |n| {
+            self.visit.record(n);
+            self.buffer.insert(n);
+        });
+        self.stats.evaluated += evaluated;
+        self.pending.clear();
+    }
+
+    /// First half of the step: pops the closest unexpanded candidate and,
+    /// unless the buffer is exhausted or the termination policy stops
+    /// here, visited-filters and prefetches its neighbor list into
+    /// `pending`, minus what the hook prunes. With `EAGER` each full
+    /// group of four is scored as soon as it forms (the sequential
+    /// driver); the lockstep driver leaves all scoring to `settle`, so
+    /// other lanes' filtering overlaps this lane's prefetches. Returns
+    /// `false` once the lane is done.
+    #[inline]
+    fn expand<G: GraphView + ?Sized, const EAGER: bool>(&mut self, graph: &G) -> bool {
+        let Some(current) = self.buffer.next_unexpanded() else {
+            return false;
+        };
+        // Emission-time termination: once per expansion, never per
+        // distance.
+        if self.term.should_stop(current.dist, self.buffer, self.stats.evaluated) {
+            return false;
+        }
+        self.stats.hops += 1;
+        self.visit.begin(self.buffer);
+        for &nb in graph.neighbors(current.id) {
+            if self.visited.insert(nb) {
+                // Prefetch on admission: the rest of the list's filter
+                // work overlaps the memory latency of the rows the batched
+                // kernel is about to touch.
+                self.scorer.prefetch(nb);
+                if !self.visit.prune(nb) {
+                    self.pending.push(nb);
+                    if EAGER && self.pending.len() == 4 {
+                        self.score();
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// Second half of the step: scores what `expand` left pending and
+    /// updates the termination state.
+    #[inline]
+    fn settle(&mut self) {
+        self.score();
+        self.term.note_expansion(self.buffer);
+    }
+
+    /// Sequential driver: scores the seeds, then steps until done.
+    fn run<G: GraphView + ?Sized>(mut self, graph: &G) -> Self {
+        self.score();
+        while self.expand::<G, true>(graph) {
+            self.settle();
+        }
+        self
+    }
+
+    /// Phase 2 of a code-space search: re-scores the `pool` best
+    /// candidates with exact `f32` distances and keeps the true top `k`.
+    fn rerank(mut self, space: Space<'_>, q: &[f32], pool: usize, k: usize) -> SearchResult {
+        let ids: Vec<u32> = self.buffer.top_k(pool).iter().map(|n| n.id).collect();
+        let mut exact = Vec::with_capacity(ids.len());
+        self.stats.evaluated += score(&Exact { space, query: q }, &ids, |n| exact.push(n));
+        exact.sort_unstable();
+        exact.truncate(k);
+        SearchResult { neighbors: exact, stats: self.stats }
     }
 }
 
@@ -132,25 +381,22 @@ pub fn beam_search_terminated<G: GraphView + ?Sized>(
     scratch: &mut SearchScratch,
     term: Termination,
 ) -> SearchResult {
-    if space.quant().is_some() {
-        return beam_search_quantized(graph, space, query, seeds, k, beam_width, scratch, term);
-    }
-    beam_search_full(graph, space, query, seeds, k, beam_width, scratch, None, term)
+    beam_search_visit(graph, space, query, seeds, k, beam_width, scratch, term, ())
 }
 
-/// Two-phase quantized beam search: the traversal is the exact shape of
-/// [`beam_search_with_sink`] but every candidate is scored with the `u8`
-/// asymmetric-distance kernel over the attached
-/// [`QuantizedStore`](crate::quant::QuantizedStore); the candidate buffer
-/// is widened to hold at least `rerank_factor * k` entries, and the
-/// leading `rerank_factor * k` candidates are re-scored with exact `f32`
-/// distances before the final top-`k` cut. Returned distances are
-/// therefore always exact; only the traversal ranking is approximate.
+/// [`beam_search_terminated`] with a [`Visit`] hook: the sequential search
+/// every other entry point wraps.
 ///
+/// With a [`QuantView`](crate::distance::QuantView) on `space` it runs in
+/// two phases: the traversal scores every candidate in code space, with
+/// the candidate buffer widened to at least `rerank_factor * k` entries,
+/// and the leading `rerank_factor * k` candidates are then re-scored with
+/// exact `f32` distances before the final top-`k` cut. Returned distances
+/// are therefore always exact; only the traversal ranking is approximate.
 /// `stats.evaluated` (and the [`DistCounter`](crate::distance::DistCounter)
 /// total) counts both phases — the `u8`/`f32` split is on the counter.
 #[allow(clippy::too_many_arguments)]
-fn beam_search_quantized<G: GraphView + ?Sized>(
+pub fn beam_search_visit<G: GraphView + ?Sized, V: Visit>(
     graph: &G,
     space: Space<'_>,
     query: &[f32],
@@ -159,91 +405,33 @@ fn beam_search_quantized<G: GraphView + ?Sized>(
     beam_width: usize,
     scratch: &mut SearchScratch,
     term: Termination,
+    visit: V,
 ) -> SearchResult {
-    let qv = space.quant().expect("quantized beam search without a quant view");
     let n = graph.num_nodes();
-    let mut stats = SearchStats::default();
     if n == 0 || seeds.is_empty() {
-        return SearchResult { neighbors: Vec::new(), stats };
+        return SearchResult::default();
     }
-    let rerank = qv.rerank_factor();
-    let pool = beam_width.max(k.saturating_mul(rerank));
-    scratch.prepare(n, pool);
+    let term = TermState::new(term, k);
+    let Some(qv) = space.quant() else {
+        scratch.prepare(n, beam_width.max(k));
+        let lane = Lane::<Exact, V>::open(scratch, space, query, seeds, n, term, visit);
+        let lane = lane.run(graph);
+        return SearchResult { neighbors: lane.buffer.top_k(k), stats: lane.stats };
+    };
+    let pool = k.saturating_mul(qv.rerank_factor());
+    scratch.prepare(n, beam_width.max(pool));
     qv.store().prepare_into(query, &mut scratch.prepared);
-    let mut tstate = TermState::new(term, k);
-
-    for &s in seeds {
-        if (s as usize) < n && scratch.visited.insert(s) {
-            let d = space.qdist_to(&scratch.prepared, s);
-            stats.evaluated += 1;
-            scratch.buffer.insert(Neighbor::new(s, d));
-        }
-    }
-
-    while let Some(current) = scratch.buffer.next_unexpanded() {
-        // Emission-time termination: `current` is the closest unexpanded
-        // candidate, so the DistRatio margin and the budget are checked
-        // once per expansion, never per distance.
-        if tstate.should_stop(current.dist, &scratch.buffer, stats.evaluated) {
-            break;
-        }
-        stats.hops += 1;
-        let mut pending = [0u32; 4];
-        let mut fill = 0usize;
-        for &nb in graph.neighbors(current.id) {
-            if scratch.visited.insert(nb) {
-                space.qprefetch(nb);
-                pending[fill] = nb;
-                fill += 1;
-                if fill == 4 {
-                    let ds = space.qdist_to_batch(&scratch.prepared, pending);
-                    stats.evaluated += 4;
-                    for (&id, &d) in pending.iter().zip(ds.iter()) {
-                        scratch.buffer.insert(Neighbor::new(id, d));
-                    }
-                    fill = 0;
-                }
-            }
-        }
-        for &id in &pending[..fill] {
-            let d = space.qdist_to(&scratch.prepared, id);
-            stats.evaluated += 1;
-            scratch.buffer.insert(Neighbor::new(id, d));
-        }
-        tstate.note_expansion(&scratch.buffer);
-    }
-
-    // Phase 2: exact rerank. Re-score the `rerank_factor * k` best
-    // quantized candidates with full-precision distances (4-wide batched)
-    // and return the exact top `k` of that pool.
-    let cands = scratch.buffer.top_k(k.saturating_mul(rerank));
-    let take = cands.len();
-    let mut exact = Vec::with_capacity(take);
-    let mut i = 0usize;
-    while i + 4 <= take {
-        let ids = [cands[i].id, cands[i + 1].id, cands[i + 2].id, cands[i + 3].id];
-        let ds = space.dist_to_batch(query, ids);
-        for (&id, &d) in ids.iter().zip(ds.iter()) {
-            exact.push(Neighbor::new(id, d));
-        }
-        i += 4;
-    }
-    while i < take {
-        exact.push(Neighbor::new(cands[i].id, space.dist_to(query, cands[i].id)));
-        i += 1;
-    }
-    stats.evaluated += take;
-    exact.sort_unstable();
-    exact.truncate(k);
-    SearchResult { neighbors: exact, stats }
+    let lane = Lane::<Coded, V>::open(scratch, space, query, seeds, n, term, visit);
+    lane.run(graph).rerank(space, query, pool, k)
 }
 
 /// [`beam_search`] variant that can also record **every** evaluated node in
 /// `sink` (in evaluation order). Construction algorithms that select edges
 /// from the *visited list* of a search (NSG, Vamana) need this.
 ///
-/// Always runs at full precision: construction quality must not depend on
-/// quantization, so any quant view on `space` is ignored here.
+/// Always runs at full precision and `Fixed`: construction quality must
+/// not depend on quantization, and construction must see the complete
+/// visited list, so any quant view on `space` is ignored here.
 #[allow(clippy::too_many_arguments)]
 pub fn beam_search_with_sink<G: GraphView + ?Sized>(
     graph: &G,
@@ -255,100 +443,17 @@ pub fn beam_search_with_sink<G: GraphView + ?Sized>(
     scratch: &mut SearchScratch,
     sink: Option<&mut Vec<Neighbor>>,
 ) -> SearchResult {
-    // Construction must see the complete visited list, so the sink path
-    // is always Fixed: adaptive termination is a query-time knob only.
-    beam_search_full(
+    beam_search_visit(
         graph,
-        space,
+        space.with_quant(None),
         query,
         seeds,
         k,
         beam_width,
         scratch,
-        sink,
         Termination::FIXED,
+        sink,
     )
-}
-
-/// Full-precision traversal shared by [`beam_search_with_sink`] (always
-/// Fixed) and the non-quantized arm of [`beam_search_terminated`].
-#[allow(clippy::too_many_arguments)]
-fn beam_search_full<G: GraphView + ?Sized>(
-    graph: &G,
-    space: Space<'_>,
-    query: &[f32],
-    seeds: &[u32],
-    k: usize,
-    beam_width: usize,
-    scratch: &mut SearchScratch,
-    mut sink: Option<&mut Vec<Neighbor>>,
-    term: Termination,
-) -> SearchResult {
-    let n = graph.num_nodes();
-    let mut stats = SearchStats::default();
-    if n == 0 || seeds.is_empty() {
-        return SearchResult { neighbors: Vec::new(), stats };
-    }
-    scratch.prepare(n, beam_width.max(k));
-    let mut tstate = TermState::new(term, k);
-
-    for &s in seeds {
-        if (s as usize) < n && scratch.visited.insert(s) {
-            let d = space.dist_to(query, s);
-            stats.evaluated += 1;
-            if let Some(sink) = sink.as_deref_mut() {
-                sink.push(Neighbor::new(s, d));
-            }
-            scratch.buffer.insert(Neighbor::new(s, d));
-        }
-    }
-
-    while let Some(current) = scratch.buffer.next_unexpanded() {
-        if tstate.should_stop(current.dist, &scratch.buffer, stats.evaluated) {
-            break;
-        }
-        stats.hops += 1;
-        // First-visit neighbors are evaluated four at a time through the
-        // batched kernel (`l2_sq_batch`, bit-identical per vector), with a
-        // scalar tail. Evaluation order — and hence sink order, counter
-        // total, and buffer content — matches the one-at-a-time loop.
-        //
-        // Each accepted candidate's vector is software-prefetched as soon
-        // as it enters the pending batch: the remaining visited-filter work
-        // for the rest of the neighbor list overlaps the memory latency of
-        // the rows the batched kernel is about to touch.
-        let mut pending = [0u32; 4];
-        let mut fill = 0usize;
-        for &nb in graph.neighbors(current.id) {
-            if scratch.visited.insert(nb) {
-                space.prefetch(nb);
-                pending[fill] = nb;
-                fill += 1;
-                if fill == 4 {
-                    let ds = space.dist_to_batch(query, pending);
-                    stats.evaluated += 4;
-                    for (&id, &d) in pending.iter().zip(ds.iter()) {
-                        if let Some(sink) = sink.as_deref_mut() {
-                            sink.push(Neighbor::new(id, d));
-                        }
-                        scratch.buffer.insert(Neighbor::new(id, d));
-                    }
-                    fill = 0;
-                }
-            }
-        }
-        for &id in &pending[..fill] {
-            let d = space.dist_to(query, id);
-            stats.evaluated += 1;
-            if let Some(sink) = sink.as_deref_mut() {
-                sink.push(Neighbor::new(id, d));
-            }
-            scratch.buffer.insert(Neighbor::new(id, d));
-        }
-        tstate.note_expansion(&scratch.buffer);
-    }
-
-    SearchResult { neighbors: scratch.buffer.top_k(k), stats }
 }
 
 /// How many queries [`beam_search_coalesced`] interleaves in lockstep.
@@ -374,14 +479,15 @@ pub const COALESCE_LANES: usize = 8;
 /// of cross-request micro-batching (`gass-serve`): a batch is faster
 /// than the sum of its queries, not just cheaper to dispatch.
 ///
-/// Every lane's state evolution — visited-filter order, 4-wide kernel
-/// grouping, candidate-buffer inserts, expansion sequence, exact rerank —
-/// is exactly that of the sequential [`beam_search`], so results
-/// (neighbors, distances, per-query stats, counter totals) are
-/// bit-identical to running the lanes one at a time; only the hardware
-/// sees the difference. Lanes without a quant view fall back to the
-/// sequential search per lane (the exact path's in-query 4-wide
-/// prefetching already covers most of its latency).
+/// Every lane runs the sequential search's own step — visited-filter
+/// order, 4-wide kernel grouping, candidate-buffer inserts, expansion
+/// sequence, exact rerank — so results (neighbors, distances, per-query
+/// stats, counter totals) are bit-identical to running the lanes one at
+/// a time; only the hardware sees the difference. Lanes without a quant
+/// view run one after another through the same step instead: the exact
+/// path's in-query prefetching already covers most of its latency, and
+/// exact lanes in lockstep measured ~7% slower at 96 dims (only ~5%
+/// faster at 960) on a 2-vCPU Xeon.
 ///
 /// `seeds` holds one seed set per query; `scratches` one scratch per
 /// lane (prepared internally).
@@ -408,178 +514,43 @@ pub fn beam_search_coalesced<G: GraphView + ?Sized>(
 ) -> Vec<SearchResult> {
     assert_eq!(queries.len(), seeds.len(), "one seed set per query");
     assert!(scratches.len() >= queries.len(), "one scratch per lane");
+    let jobs = queries.iter().zip(seeds).zip(scratches.iter_mut());
     let Some(qv) = space.quant() else {
-        return queries
-            .iter()
-            .zip(seeds)
-            .enumerate()
-            .map(|(i, (q, s))| {
-                beam_search_terminated(
-                    graph,
-                    space,
-                    q,
-                    s,
-                    k,
-                    beam_width,
-                    &mut scratches[i],
-                    term,
-                )
+        return jobs
+            .map(|((q, s), scratch)| {
+                beam_search_terminated(graph, space, q, s, k, beam_width, scratch, term)
             })
             .collect();
     };
-
     let n = graph.num_nodes();
-    let lanes = queries.len();
-    let rerank = qv.rerank_factor();
-    let pool = beam_width.max(k.saturating_mul(rerank));
-    let mut stats = vec![SearchStats::default(); lanes];
-    let mut active = vec![false; lanes];
-    let mut tstates = vec![TermState::new(term, k); lanes];
-    // Lanes that expanded a candidate this round: they owe a
-    // `note_expansion` after stage B even when the expansion produced no
-    // first-visit neighbors, matching the sequential search's
-    // per-expansion fingerprint updates exactly.
-    let mut expanded = vec![false; lanes];
-    // Per-lane first-visit neighbors awaiting evaluation (prefetch issued).
-    let mut pend: Vec<Vec<u32>> = vec![Vec::new(); lanes];
-
-    // Seed phase: filter + prefetch every lane first, then evaluate, so
-    // even the seed rows arrive under another lane's filter work. The
-    // per-lane visit/evaluation order matches the sequential search.
-    for li in 0..lanes {
-        let scratch = &mut scratches[li];
-        scratch.prepare(n, pool);
-        if n == 0 || seeds[li].is_empty() {
-            continue;
+    let pool = k.saturating_mul(qv.rerank_factor());
+    let mut lanes: Vec<Lane<Coded, ()>> = jobs
+        .map(|((&q, s), scratch)| {
+            scratch.prepare(n, beam_width.max(pool));
+            if n > 0 && !s.is_empty() {
+                qv.store().prepare_into(q, &mut scratch.prepared);
+            }
+            Lane::open(scratch, space, q, s, n, TermState::new(term, k), ())
+        })
+        .collect();
+    // Lockstep: every live lane runs the first half of the step, then
+    // every lane that expanded runs the second.
+    lanes.iter_mut().for_each(|lane| lane.score());
+    let mut live = vec![true; lanes.len()];
+    while live.contains(&true) {
+        for (lane, live) in lanes.iter_mut().zip(&mut live).filter(|(_, live)| **live) {
+            *live = lane.expand::<G, false>(graph);
         }
-        qv.store().prepare_into(queries[li], &mut scratch.prepared);
-        for &s in &seeds[li] {
-            if (s as usize) < n && scratch.visited.insert(s) {
-                space.qprefetch(s);
-                pend[li].push(s);
-            }
-        }
-        active[li] = true;
-    }
-    for li in 0..lanes {
-        let scratch = &mut scratches[li];
-        for &s in &pend[li] {
-            let d = space.qdist_to(&scratch.prepared, s);
-            stats[li].evaluated += 1;
-            scratch.buffer.insert(Neighbor::new(s, d));
-        }
-        pend[li].clear();
-    }
-
-    // Main loop: stage A (traverse + prefetch) then stage B (evaluate)
-    // across all still-active lanes, until every lane's buffer stabilizes.
-    loop {
-        let mut any = false;
-        for li in 0..lanes {
-            if !active[li] {
-                continue;
-            }
-            let scratch = &mut scratches[li];
-            match scratch.buffer.next_unexpanded() {
-                Some(current) => {
-                    // Per-lane emission-time termination → lane retirement.
-                    if tstates[li].should_stop(
-                        current.dist,
-                        &scratch.buffer,
-                        stats[li].evaluated,
-                    ) {
-                        active[li] = false;
-                        continue;
-                    }
-                    stats[li].hops += 1;
-                    expanded[li] = true;
-                    for &nb in graph.neighbors(current.id) {
-                        if scratch.visited.insert(nb) {
-                            space.qprefetch(nb);
-                            pend[li].push(nb);
-                        }
-                    }
-                    any = true;
-                }
-                None => active[li] = false,
-            }
-        }
-        if !any {
-            break;
-        }
-        for li in 0..lanes {
-            if !expanded[li] {
-                continue;
-            }
-            expanded[li] = false;
-            let scratch = &mut scratches[li];
-            let p = &mut pend[li];
-            // Same 4-wide grouping (and scalar tail) as the sequential
-            // quantized search — bit-identical distances in both arms.
-            let m = p.len();
-            let mut i = 0usize;
-            while i + 4 <= m {
-                let ids = [p[i], p[i + 1], p[i + 2], p[i + 3]];
-                let ds = space.qdist_to_batch(&scratch.prepared, ids);
-                stats[li].evaluated += 4;
-                for (&id, &d) in ids.iter().zip(ds.iter()) {
-                    scratch.buffer.insert(Neighbor::new(id, d));
-                }
-                i += 4;
-            }
-            while i < m {
-                let d = space.qdist_to(&scratch.prepared, p[i]);
-                stats[li].evaluated += 1;
-                scratch.buffer.insert(Neighbor::new(p[i], d));
-                i += 1;
-            }
-            p.clear();
-            tstates[li].note_expansion(&scratch.buffer);
+        for (lane, _) in lanes.iter_mut().zip(&live).filter(|(_, &live)| live) {
+            lane.settle();
         }
     }
-
-    // Exact rerank, cross-lane pipelined the same way: prefetch every
-    // lane's candidate rows, then re-score lane by lane (the sequential
-    // search's exact 4-wide grouping, so distances stay bit-identical).
-    let mut cands: Vec<Vec<Neighbor>> = Vec::with_capacity(lanes);
-    for scratch in scratches.iter().take(lanes) {
-        let c = scratch.buffer.top_k(k.saturating_mul(rerank));
-        for nb in &c {
-            space.prefetch(nb.id);
-        }
-        cands.push(c);
+    // Exact rerank, pipelined across lanes: prefetch every lane's pool
+    // rows, then re-score lane by lane.
+    for lane in &lanes {
+        lane.buffer.top_k(pool).iter().for_each(|n| space.prefetch(n.id));
     }
-    let mut out = Vec::with_capacity(lanes);
-    for (li, lane_cands) in cands.iter().enumerate() {
-        let take = lane_cands.len();
-        let mut exact = Vec::with_capacity(take);
-        let mut i = 0usize;
-        while i + 4 <= take {
-            let ids = [
-                lane_cands[i].id,
-                lane_cands[i + 1].id,
-                lane_cands[i + 2].id,
-                lane_cands[i + 3].id,
-            ];
-            let ds = space.dist_to_batch(queries[li], ids);
-            for (&id, &d) in ids.iter().zip(ds.iter()) {
-                exact.push(Neighbor::new(id, d));
-            }
-            i += 4;
-        }
-        while i < take {
-            exact.push(Neighbor::new(
-                lane_cands[i].id,
-                space.dist_to(queries[li], lane_cands[i].id),
-            ));
-            i += 1;
-        }
-        stats[li].evaluated += take;
-        exact.sort_unstable();
-        exact.truncate(k);
-        out.push(SearchResult { neighbors: exact, stats: stats[li] });
-    }
-    out
+    lanes.into_iter().zip(queries).map(|(lane, q)| lane.rerank(space, q, pool, k)).collect()
 }
 
 /// [`beam_search`] over an index that may have been frozen into CSR form:
@@ -603,172 +574,6 @@ pub fn beam_search_frozen<G: GraphView + ?Sized>(
         Some(c) => beam_search_terminated(c, space, query, seeds, k, beam_width, scratch, term),
         None => {
             beam_search_terminated(graph, space, query, seeds, k, beam_width, scratch, term)
-        }
-    }
-}
-
-/// Greedy 1-NN descent from `entry`: repeatedly move to the closest
-/// neighbor until no neighbor improves. This is the per-layer routine of
-/// HNSW's hierarchical seed selection (SN) and of ELPIS's leaf routing.
-///
-/// Allocates a fresh [`VisitedSet`]; hot paths that descend repeatedly
-/// should reuse one via [`greedy_search_with`].
-pub fn greedy_search<G: GraphView + ?Sized>(
-    graph: &G,
-    space: Space<'_>,
-    query: &[f32],
-    entry: u32,
-) -> (Neighbor, SearchStats) {
-    let mut visited = VisitedSet::new(graph.num_nodes());
-    greedy_search_with(graph, space, query, entry, &mut visited)
-}
-
-/// [`greedy_search`] with caller-provided scratch. Every node is evaluated
-/// at most once: on undirected graphs the naive descent re-scores the node
-/// it just came from (and other mutual neighbors) on every hop, and the
-/// visited filter removes exactly those redundant evaluations — safe
-/// because the running best distance is the minimum over everything
-/// already evaluated, so a revisit can never improve it. Neighbor
-/// evaluations go through the 4-wide batched kernel like [`beam_search`].
-///
-/// With a quant view attached to `space`, the descent runs on quantized
-/// distances and the final best is re-scored exactly (one `f32`
-/// evaluation), so the returned distance is always exact.
-pub fn greedy_search_with<G: GraphView + ?Sized>(
-    graph: &G,
-    space: Space<'_>,
-    query: &[f32],
-    entry: u32,
-    visited: &mut VisitedSet,
-) -> (Neighbor, SearchStats) {
-    greedy_search_budgeted(graph, space, query, entry, visited, 0)
-}
-
-/// [`greedy_search_with`] under a hard `max_dists` evaluation budget
-/// (`0` = unlimited, exactly [`greedy_search_with`]). The budget is
-/// checked once per hop — before the neighbor list is touched — so an
-/// exhausted descent returns the best node found so far instead of
-/// finishing the climb. Routing (HNSW's upper-layer descent) degrades
-/// gracefully: a mid-quality entry point costs recall far less than a
-/// dropped query.
-pub fn greedy_search_budgeted<G: GraphView + ?Sized>(
-    graph: &G,
-    space: Space<'_>,
-    query: &[f32],
-    entry: u32,
-    visited: &mut VisitedSet,
-    max_dists: usize,
-) -> (Neighbor, SearchStats) {
-    if space.quant().is_some() {
-        return greedy_search_quantized(graph, space, query, entry, visited, max_dists);
-    }
-    let mut stats = SearchStats::default();
-    visited.resize(graph.num_nodes());
-    visited.clear();
-    visited.insert(entry);
-    let mut best = Neighbor::new(entry, space.dist_to(query, entry));
-    stats.evaluated += 1;
-    loop {
-        if max_dists > 0 && stats.evaluated >= max_dists {
-            return (best, stats);
-        }
-        stats.hops += 1;
-        let mut improved = false;
-        let mut pending = [0u32; 4];
-        let mut fill = 0usize;
-        for &nb in graph.neighbors(best.id) {
-            if visited.insert(nb) {
-                space.prefetch(nb);
-                pending[fill] = nb;
-                fill += 1;
-                if fill == 4 {
-                    let ds = space.dist_to_batch(query, pending);
-                    stats.evaluated += 4;
-                    for (&id, &d) in pending.iter().zip(ds.iter()) {
-                        if d < best.dist {
-                            best = Neighbor::new(id, d);
-                            improved = true;
-                        }
-                    }
-                    fill = 0;
-                }
-            }
-        }
-        for &id in &pending[..fill] {
-            let d = space.dist_to(query, id);
-            stats.evaluated += 1;
-            if d < best.dist {
-                best = Neighbor::new(id, d);
-                improved = true;
-            }
-        }
-        if !improved {
-            return (best, stats);
-        }
-    }
-}
-
-/// Quantized greedy descent (see [`greedy_search_with`]): same hill-climb,
-/// `u8` distances, exact re-score of the final best.
-fn greedy_search_quantized<G: GraphView + ?Sized>(
-    graph: &G,
-    space: Space<'_>,
-    query: &[f32],
-    entry: u32,
-    visited: &mut VisitedSet,
-    max_dists: usize,
-) -> (Neighbor, SearchStats) {
-    let qv = space.quant().expect("quantized greedy search without a quant view");
-    let mut stats = SearchStats::default();
-    visited.resize(graph.num_nodes());
-    visited.clear();
-    visited.insert(entry);
-    let mut pq = PreparedQuery::default();
-    qv.store().prepare_into(query, &mut pq);
-    let mut best = Neighbor::new(entry, space.qdist_to(&pq, entry));
-    stats.evaluated += 1;
-    loop {
-        if max_dists > 0 && stats.evaluated >= max_dists {
-            // Exhausted mid-climb: re-score the running best exactly so
-            // the returned distance stays exact like the converged path.
-            let exact = space.dist_to(query, best.id);
-            stats.evaluated += 1;
-            return (Neighbor::new(best.id, exact), stats);
-        }
-        stats.hops += 1;
-        let mut improved = false;
-        let mut pending = [0u32; 4];
-        let mut fill = 0usize;
-        for &nb in graph.neighbors(best.id) {
-            if visited.insert(nb) {
-                space.qprefetch(nb);
-                pending[fill] = nb;
-                fill += 1;
-                if fill == 4 {
-                    let ds = space.qdist_to_batch(&pq, pending);
-                    stats.evaluated += 4;
-                    for (&id, &d) in pending.iter().zip(ds.iter()) {
-                        if d < best.dist {
-                            best = Neighbor::new(id, d);
-                            improved = true;
-                        }
-                    }
-                    fill = 0;
-                }
-            }
-        }
-        for &id in &pending[..fill] {
-            let d = space.qdist_to(&pq, id);
-            stats.evaluated += 1;
-            if d < best.dist {
-                best = Neighbor::new(id, d);
-                improved = true;
-            }
-        }
-        if !improved {
-            let exact = space.dist_to(query, best.id);
-            stats.evaluated += 1;
-            return (Neighbor::new(best.id, exact), stats);
         }
     }
 }
@@ -874,34 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_descends_to_local_minimum() {
-        let (store, g) = line_world();
-        let counter = DistCounter::new();
-        let space = Space::new(&store, &counter);
-        let (best, stats) = greedy_search(&g, space, &[6.1], 0);
-        assert_eq!(best.id, 6);
-        assert!(stats.hops >= 6);
-        // The visited filter caps evaluations at one per node: walking
-        // 0->6 on the chain touches nodes 0..=7 exactly once each.
-        assert_eq!(stats.evaluated, 8);
-        assert_eq!(counter.get(), stats.evaluated as u64);
-    }
-
-    #[test]
-    fn greedy_with_reused_scratch_matches_fresh() {
-        let (store, g) = line_world();
-        let counter = DistCounter::new();
-        let space = Space::new(&store, &counter);
-        let mut visited = crate::visited::VisitedSet::new(10);
-        for q in [0.4f32, 8.7, 3.2] {
-            let fresh = greedy_search(&g, space, &[q], 0);
-            let reused = greedy_search_with(&g, space, &[q], 0, &mut visited);
-            assert_eq!(fresh.0, reused.0);
-            assert_eq!(fresh.1.evaluated, reused.1.evaluated);
-        }
-    }
-
-    #[test]
     fn serial_scan_is_exact() {
         let (store, _) = line_world();
         let counter = DistCounter::new();
@@ -955,20 +732,6 @@ mod tests {
         let res = beam_search(&g, space, &[9.0], &[0], 2, 2, &mut scratch);
         assert_eq!(res.neighbors.len(), 2);
         assert_eq!(res.neighbors[0].id, 9);
-    }
-
-    #[test]
-    fn quantized_greedy_returns_exact_distance() {
-        let (store, g) = line_world();
-        let qs = crate::quant::QuantizedStore::from_store(&store);
-        let counter = DistCounter::new();
-        let space =
-            Space::new(&store, &counter).with_quant(Some(crate::QuantView::new(&qs, 2)));
-        let (best, stats) = greedy_search(&g, space, &[6.1], 0);
-        assert_eq!(best.id, 6);
-        assert!((best.dist - 0.01).abs() < 1e-4, "{}", best.dist);
-        assert_eq!(counter.get(), stats.evaluated as u64);
-        assert_eq!(counter.get_f32(), 1, "exactly one exact re-score");
     }
 
     #[test]
@@ -1142,26 +905,6 @@ mod tests {
         // stops after `patience` expansions while fixed walks the beam out.
         assert_eq!(sat.neighbors[0], fixed.neighbors[0]);
         assert!(sat.stats.evaluated < fixed.stats.evaluated);
-    }
-
-    #[test]
-    fn greedy_budget_returns_partial_descent() {
-        let (store, g) = line_world();
-        let counter = DistCounter::new();
-        let space = Space::new(&store, &counter);
-        let mut visited = crate::visited::VisitedSet::new(10);
-        let (full, full_stats) = greedy_search_with(&g, space, &[6.1], 0, &mut visited);
-        assert_eq!(full.id, 6);
-        let (capped, capped_stats) =
-            greedy_search_budgeted(&g, space, &[6.1], 0, &mut visited, 3);
-        assert!(capped_stats.evaluated <= full_stats.evaluated);
-        assert!(capped_stats.evaluated <= 4, "budget stops the climb early");
-        assert!(capped.dist >= full.dist, "partial descent can only be farther");
-        // Unlimited budget is exactly the plain descent.
-        let (unlimited, unlimited_stats) =
-            greedy_search_budgeted(&g, space, &[6.1], 0, &mut visited, 0);
-        assert_eq!(unlimited, full);
-        assert_eq!(unlimited_stats, full_stats);
     }
 
     #[test]

@@ -13,11 +13,10 @@
 use crate::common::BuildReport;
 use crate::hnsw::{HnswIndex, HnswParams};
 use gass_core::distance::{DistCounter, Space};
-use gass_core::graph::GraphView;
 use gass_core::index::{AnnIndex, IndexStats, QueryParams, ScratchPool};
-use gass_core::neighbor::Neighbor;
+use gass_core::neighbor::SortedBuffer;
 use gass_core::reorder::ReorderStrategy;
-use gass_core::search::{SearchResult, SearchScratch, SearchStats};
+use gass_core::search::{beam_search_visit, SearchResult, Visit};
 use gass_core::seed::SeedProvider;
 use gass_hash::{LshIndex, LshSeeds};
 
@@ -84,94 +83,30 @@ impl LshapgIndex {
     pub fn lsh(&self) -> &LshIndex {
         self.lsh.index()
     }
+}
 
-    /// The probabilistic-routing traversal, generic over the base graph's
-    /// layout so the frozen CSR form dispatches statically.
-    fn routed_traversal<G: GraphView + ?Sized>(
-        &self,
-        graph: &G,
-        space: Space<'_>,
-        query: &[f32],
-        seeds: &[u32],
-        params: &QueryParams,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        let sketch = self.lsh.index().query_sketch(query);
-        let gamma = self.gamma;
-        // Quantized serving routes the gated evaluations through the SQ8
-        // codes (the "CSR path" carries a quant view on its `Space`); the
-        // sketch still decides *whether* a neighbor is scored at all, the
-        // codes decide *how cheaply*. The candidate pool is widened to
-        // `rerank_factor * k` so the exact phase-2 re-score below can
-        // recover from quantization error.
-        let quant = space.quant();
-        let pool = match quant {
-            Some(q) => params.beam_width.max(params.k.saturating_mul(q.rerank_factor())),
-            None => params.beam_width,
-        };
-        self.scratch.with(space.len(), pool, |scratch| {
-            if let Some(q) = quant {
-                q.store().prepare_into(query, &mut scratch.prepared);
-            }
-            let SearchScratch { visited, buffer, prepared } = scratch;
-            for &s in seeds {
-                if visited.insert(s) {
-                    let d = match quant {
-                        Some(_) => space.qdist_to(prepared, s),
-                        None => space.dist_to(query, s),
-                    };
-                    stats.evaluated += 1;
-                    buffer.insert(Neighbor::new(s, d));
-                }
-            }
-            while let Some(cur) = buffer.next_unexpanded() {
-                stats.hops += 1;
-                let bound = buffer.bound();
-                for &nb in graph.neighbors(cur.id) {
-                    if !visited.insert(nb) {
-                        continue;
-                    }
-                    // Start pulling the vector (or its code line) while the
-                    // sketch estimate is computed; if routing prunes the
-                    // neighbor the prefetch is wasted bandwidth, otherwise
-                    // it hides the load.
-                    if quant.is_some() {
-                        space.qprefetch(nb);
-                    } else {
-                        space.prefetch(nb);
-                    }
-                    // Probabilistic routing: sketch estimate gates the
-                    // (quantized or exact) evaluation.
-                    if bound.is_finite() {
-                        let est = self.lsh.index().projected_dist_sq(&sketch, nb);
-                        if est > gamma * bound {
-                            continue;
-                        }
-                    }
-                    let d = match quant {
-                        Some(_) => space.qdist_to(prepared, nb),
-                        None => space.dist_to(query, nb),
-                    };
-                    stats.evaluated += 1;
-                    buffer.insert(Neighbor::new(nb, d));
-                }
-            }
-            match quant {
-                Some(q) => {
-                    // Phase 2: exact re-score of the widened pool, then
-                    // keep the true top k.
-                    let mut cands = buffer.top_k(params.k.saturating_mul(q.rerank_factor()));
-                    for n in &mut cands {
-                        n.dist = space.dist_to(query, n.id);
-                    }
-                    stats.evaluated += cands.len();
-                    cands.sort_unstable();
-                    cands.truncate(params.k);
-                    cands
-                }
-                None => buffer.top_k(params.k),
-            }
-        })
+/// Probabilistic routing as a traversal hook: a first-visit neighbor is
+/// scored (in code space on a quantized index) only when its sketch
+/// estimate is within `gamma ×` the pruning bound captured at the start
+/// of the expansion. Its row is prefetched before the gate decides.
+struct SketchGate<'a> {
+    lsh: &'a LshIndex,
+    sketch: Vec<f32>,
+    gamma: f32,
+    /// `gamma ×` the bound, or `None` while the buffer is not yet full.
+    limit: Option<f32>,
+}
+
+impl Visit for SketchGate<'_> {
+    #[inline]
+    fn begin(&mut self, buffer: &SortedBuffer) {
+        let bound = buffer.bound();
+        self.limit = bound.is_finite().then_some(self.gamma * bound);
+    }
+
+    #[inline]
+    fn prune(&self, id: u32) -> bool {
+        self.limit.is_some_and(|limit| self.lsh.projected_dist_sq(&self.sketch, id) > limit)
     }
 }
 
@@ -200,22 +135,25 @@ impl AnnIndex for LshapgIndex {
         );
         let mut seeds = Vec::new();
         self.lsh.seeds(space, query, params.seed_count.max(4), &mut seeds);
-        let mut stats = SearchStats::default();
-        let neighbors = match self.base.csr() {
-            Some(csr) => self.routed_traversal(csr, space, query, &seeds, params, &mut stats),
-            None => self.routed_traversal(
-                self.base.base_graph(),
-                space,
-                query,
-                &seeds,
-                params,
-                &mut stats,
-            ),
+        let gate = SketchGate {
+            lsh: self.lsh.index(),
+            sketch: self.lsh.index().query_sketch(query),
+            gamma: self.gamma,
+            limit: None,
         };
-        // The routed traversal runs in the base graph's (possibly
-        // relabeled) id space; the base serving state owns the new→old
-        // translation.
-        self.base.serving().finish(SearchResult { neighbors, stats })
+        let (k, l, term) = (params.k, params.beam_width, params.termination());
+        let res = self.scratch.with(space.len(), l, |scratch| match self.base.csr() {
+            Some(csr) => {
+                beam_search_visit(csr, space, query, &seeds, k, l, scratch, term, gate)
+            }
+            None => {
+                let graph = self.base.base_graph();
+                beam_search_visit(graph, space, query, &seeds, k, l, scratch, term, gate)
+            }
+        });
+        // The traversal runs in the base graph's (possibly relabeled) id
+        // space; the base serving state owns the new→old translation.
+        self.base.serving().finish(res)
     }
 
     fn freeze(&mut self) {
@@ -263,7 +201,9 @@ impl AnnIndex for LshapgIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gass_core::{DistCounter, VectorStore};
+    use gass_core::graph::GraphView;
+    use gass_core::search::{beam_search_frozen, SearchScratch};
+    use gass_core::{CodecSpec, DistCounter, TerminationPolicy, VectorStore};
     use gass_data::ground_truth::ground_truth;
     use gass_data::synth::deep_like;
 
@@ -315,6 +255,120 @@ mod tests {
         let rr = recall(&routed, &base, &queries, 48);
         let ru = recall(&unrouted, &base, &queries, 48);
         assert!(rr <= ru + 0.05, "routing recall {rr} implausibly above unrouted {ru}");
+    }
+
+    fn key(res: &SearchResult) -> Vec<(u32, u32)> {
+        res.neighbors.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+    }
+
+    /// Pinned to `Fixed` so a `GASS_TERM` override cannot redefine the
+    /// baseline.
+    fn fixed_params(l: usize) -> QueryParams {
+        QueryParams::new(10, l)
+            .with_seed_count(12)
+            .with_term(TerminationPolicy::Fixed)
+            .with_max_dists(0)
+    }
+
+    #[test]
+    fn lshapg_honors_the_distance_budget() {
+        let base = deep_like(500, 7);
+        let queries = deep_like(8, 8);
+        let fixed = fixed_params(64);
+        let budget = 20;
+        let capped = fixed.with_max_dists(budget);
+        let never = fixed.with_max_dists(usize::MAX >> 1);
+        for spec in [None, Some(CodecSpec::Sq8)] {
+            let mut idx = LshapgIndex::build(base.clone(), LshapgParams::small());
+            if let Some(spec) = spec {
+                idx.quantize(spec);
+            }
+            let graph = idx.base.base_graph();
+            let max_degree = (0..graph.num_nodes() as u32)
+                .map(|u| graph.neighbors(u).len())
+                .max()
+                .unwrap_or(0);
+            let rerank = if spec.is_some() { fixed.k * fixed.rerank_factor } else { 0 };
+            // The budget is checked at emission time: the seeds, then at
+            // most one neighbor list past the budget, then the rerank.
+            let cap = budget.max(fixed.seed_count.max(4)) + max_degree + rerank;
+            for (_, q) in queries.iter() {
+                let (c_fixed, c_capped, c_never) =
+                    (DistCounter::new(), DistCounter::new(), DistCounter::new());
+                let full = idx.search(q, &fixed, &c_fixed);
+                let cut = idx.search(q, &capped, &c_capped);
+                let unspent = idx.search(q, &never, &c_never);
+                assert!(
+                    full.stats.evaluated > cap,
+                    "{spec:?}: the budget must bind ({} <= {cap})",
+                    full.stats.evaluated
+                );
+                assert!(
+                    cut.stats.evaluated <= cap,
+                    "{spec:?}: budget {budget} overshot: {} > {cap}",
+                    cut.stats.evaluated
+                );
+                assert_eq!(c_capped.get(), cut.stats.evaluated as u64);
+                assert!(!cut.neighbors.is_empty());
+                // A budget that is never spent is `Fixed`, bit for bit.
+                assert_eq!(key(&unspent), key(&full));
+                assert_eq!(unspent.stats, full.stats);
+                assert_eq!(
+                    (c_never.get_f32(), c_never.get_u8()),
+                    (c_fixed.get_f32(), c_fixed.get_u8())
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn infinite_gamma_is_plain_beam_search_from_lsh_seeds() {
+        // `gamma = ∞` must make the sketch gate a no-op: the answer is the
+        // shared beam search over the base graph from LSHAPG's own seeds.
+        let base = deep_like(400, 9);
+        let queries = deep_like(10, 10);
+        let params = fixed_params(48);
+        let unrouted = LshapgParams { gamma: f32::INFINITY, ..LshapgParams::small() };
+        for (freeze, spec) in [(false, None), (true, None), (true, Some(CodecSpec::Sq8))] {
+            let mut idx = LshapgIndex::build(base.clone(), unrouted);
+            if freeze {
+                idx.freeze();
+            }
+            if let Some(spec) = spec {
+                idx.quantize(spec);
+            }
+            let mut scratch = SearchScratch::new(0, 1);
+            for (_, q) in queries.iter() {
+                let (c_lsh, c_plain) = (DistCounter::new(), DistCounter::new());
+                let got = idx.search(q, &params, &c_lsh);
+                let space = Space::new(idx.base.store(), &c_plain).with_quant(
+                    idx.base
+                        .quantized()
+                        .map(|c| gass_core::QuantView::new(c, params.rerank_factor)),
+                );
+                let mut seeds = Vec::new();
+                idx.lsh.seeds(space, q, params.seed_count.max(4), &mut seeds);
+                let plain = idx.base.serving().finish(beam_search_frozen(
+                    idx.base.base_graph(),
+                    idx.base.csr(),
+                    space,
+                    q,
+                    &seeds,
+                    params.k,
+                    params.beam_width,
+                    &mut scratch,
+                    params.termination(),
+                ));
+                let ctx = format!("freeze={freeze} quant={spec:?}");
+                assert_eq!(key(&got), key(&plain), "{ctx}");
+                assert_eq!(got.stats, plain.stats, "{ctx}");
+                assert_eq!(
+                    (c_lsh.get_f32(), c_lsh.get_u8()),
+                    (c_plain.get_f32(), c_plain.get_u8()),
+                    "{ctx}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,13 +2,21 @@
 //!
 //! For any mix of queries and per-request parameters, answering them as
 //! one coalesced batch ([`gass_serve::execute_coalesced`]) returns
-//! bit-identical neighbors (same ids, same distance *bits*) and the same
-//! distance-computation total as answering them one at a time through
-//! `index.search` — the frozen-CSR beam search the offline path uses.
+//! bit-identical neighbors (same ids, same distance *bits*), the same
+//! per-query traversal stats, and the same distance-computation totals
+//! as answering them one at a time through `index.search` — the
+//! frozen-CSR beam search the offline path uses.
 //! Batching may change throughput and latency, never answers.
+//!
+//! Two indexes serve every case: a frozen HNSW, whose `search_coalesced`
+//! is the sequential default, and a frozen SQ8 `PrebuiltIndex` over the
+//! same base layer, whose batches run through the lockstep multi-lane
+//! engine.
 
 use gass_core::distance::DistCounter;
-use gass_core::index::{AnnIndex, QueryParams};
+use gass_core::index::{AnnIndex, PrebuiltIndex, QueryParams};
+use gass_core::quant::CodecSpec;
+use gass_core::seed::RandomSeeds;
 use gass_graphs::{HnswIndex, HnswParams};
 use gass_serve::execute_coalesced;
 use proptest::prelude::*;
@@ -33,6 +41,25 @@ fn index() -> &'static HnswIndex {
     })
 }
 
+/// The HNSW base layer served as a frozen SQ8 `PrebuiltIndex` with
+/// per-query seeds: the index whose batches take the coalesced engine.
+fn coalescing_index() -> &'static PrebuiltIndex {
+    static INDEX: OnceLock<PrebuiltIndex> = OnceLock::new();
+    INDEX.get_or_init(|| {
+        let hnsw = index();
+        let mut idx = PrebuiltIndex::new(
+            hnsw.store().clone(),
+            hnsw.base_graph().clone(),
+            Box::new(RandomSeeds::per_query(N, 77)),
+            "hnsw-base-sq8",
+        );
+        idx.freeze();
+        idx.quantize(CodecSpec::Sq8);
+        idx.align_store();
+        idx
+    })
+}
+
 /// A batch of 1–24 queries, each with its own parameter draw (so batches
 /// mix coalescing groups, exercising the grouping + scatter path).
 fn batches() -> impl Strategy<Value = Vec<(Vec<f32>, usize, usize)>> {
@@ -51,7 +78,6 @@ proptest! {
 
     #[test]
     fn coalesced_batch_is_bit_identical_to_per_query_search(batch in batches()) {
-        let idx = index();
         let jobs: Vec<(Vec<f32>, QueryParams)> = batch
             .into_iter()
             .map(|(q, k, bump)| {
@@ -60,35 +86,44 @@ proptest! {
             })
             .collect();
 
-        let one_by_one_counter = DistCounter::new();
-        let expected: Vec<_> = jobs
-            .iter()
-            .map(|(q, p)| idx.search(q, p, &one_by_one_counter))
-            .collect();
+        let indexes: [&dyn AnnIndex; 2] = [index(), coalescing_index()];
+        for idx in indexes {
+            let one_by_one_counter = DistCounter::new();
+            let expected: Vec<_> = jobs
+                .iter()
+                .map(|(q, p)| idx.search(q, p, &one_by_one_counter))
+                .collect();
 
-        let coalesced_counter = DistCounter::new();
-        let got = execute_coalesced(idx, &jobs, &coalesced_counter);
+            let coalesced_counter = DistCounter::new();
+            let got = execute_coalesced(idx, &jobs, &coalesced_counter);
 
-        prop_assert_eq!(got.len(), expected.len());
-        for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-            prop_assert_eq!(
-                g.neighbors.len(),
-                e.neighbors.len(),
-                "query {} neighbor count", i
-            );
-            for (gn, en) in g.neighbors.iter().zip(&e.neighbors) {
-                prop_assert_eq!(gn.id, en.id, "query {} id", i);
+            prop_assert_eq!(got.len(), expected.len());
+            for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
                 prop_assert_eq!(
-                    gn.dist.to_bits(),
-                    en.dist.to_bits(),
-                    "query {} distance bits", i
+                    g.neighbors.len(),
+                    e.neighbors.len(),
+                    "query {} neighbor count", i
                 );
+                prop_assert_eq!(g.stats, e.stats, "{} query {} stats", idx.name(), i);
+                for (gn, en) in g.neighbors.iter().zip(&e.neighbors) {
+                    prop_assert_eq!(gn.id, en.id, "query {} id", i);
+                    prop_assert_eq!(
+                        gn.dist.to_bits(),
+                        en.dist.to_bits(),
+                        "query {} distance bits", i
+                    );
+                }
             }
+            prop_assert_eq!(
+                coalesced_counter.get(),
+                one_by_one_counter.get(),
+                "distance totals"
+            );
+            prop_assert_eq!(
+                coalesced_counter.get_u8(),
+                one_by_one_counter.get_u8(),
+                "{} u8 distance totals", idx.name()
+            );
         }
-        prop_assert_eq!(
-            coalesced_counter.get(),
-            one_by_one_counter.get(),
-            "distance totals"
-        );
     }
 }

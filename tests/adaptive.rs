@@ -5,13 +5,15 @@
 //! monotone in each knob (`patience`, `eps`, `max_dists`) because a
 //! terminated run's expansion sequence is a prefix of the unterminated
 //! run's; a budget overshoots by at most one expansion's neighbor list;
-//! and adaptive sharded probing never probes past the `nprobe` cap.
+//! the coalesced multi-lane engine answers every batch exactly as the
+//! per-query loop does, lane retirement included; and adaptive sharded
+//! probing never probes past the `nprobe` cap.
 
 use gass_core::quant::CodecSpec;
 use gass_core::sharded::{build_knn_sharded, ShardedParams};
 use gass_core::{
     AdjacencyGraph, AnnIndex, BoundedMaxHeap, DistCounter, FlatGraph, Neighbor, PrebuiltIndex,
-    QueryParams, ReorderStrategy, StaticSeeds, TerminationPolicy, VectorStore,
+    QueryParams, ReorderStrategy, StaticSeeds, TerminationPolicy, VectorStore, COALESCE_LANES,
 };
 use proptest::prelude::*;
 
@@ -124,6 +126,74 @@ proptest! {
                         &got, &expected,
                         "quant={:?} reorder={:?} term={} max_dists={}",
                         spec, strategy, params.term, params.max_dists
+                    );
+                }
+            }
+        }
+    }
+
+    /// Coalescing is an execution strategy, not a semantic change: for
+    /// batch sizes from one query to two full lane groups plus one, on
+    /// every codec and reordering, under `Fixed` and under policies that
+    /// really fire (so lanes retire while others keep interleaving),
+    /// `search_coalesced` returns per query the same neighbor ids,
+    /// distance bits and `SearchStats` as `search`, with the same u8 and
+    /// f32 counter totals.
+    #[test]
+    fn coalesced_batches_match_per_query_search(
+        sg in arb_store_and_graph(),
+        queries in prop::collection::vec(
+            prop::collection::vec(-10.0f32..10.0, DIM..=DIM), 1..=2 * COALESCE_LANES + 1),
+        max_dists in 1usize..24,
+    ) {
+        let (points, edges) = sg;
+        let (store, graph) = assemble(&points, &edges);
+        let base = QueryParams::new(3, 10)
+            .with_rerank_factor(2)
+            .with_term(TerminationPolicy::Fixed)
+            .with_max_dists(0);
+        let policies = [
+            base,
+            base.with_term(TerminationPolicy::Saturation { patience: 1 }),
+            base.with_term(TerminationPolicy::DistRatio { eps: 0.0 }),
+            base.with_max_dists(max_dists),
+        ];
+        let refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
+        let mut specs: Vec<Option<CodecSpec>> = vec![None];
+        specs.extend(CodecSpec::ALL.into_iter().map(Some));
+        for spec in specs {
+            for strategy in
+                std::iter::once(None).chain(ReorderStrategy::ALL.into_iter().map(Some))
+            {
+                let mut index = serve(&store, &graph);
+                index.freeze();
+                if let Some(spec) = spec {
+                    index.quantize(spec);
+                }
+                if let Some(strategy) = strategy {
+                    index.reorder(strategy);
+                }
+                for params in &policies {
+                    let c_seq = DistCounter::new();
+                    let seq: Vec<_> =
+                        queries.iter().map(|q| index.search(q, params, &c_seq)).collect();
+                    let c_co = DistCounter::new();
+                    let co = index.search_coalesced(&refs, params, &c_co);
+                    let ctx = format!(
+                        "batch={} quant={:?} reorder={:?} term={} max_dists={}",
+                        refs.len(), spec, strategy, params.term, params.max_dists
+                    );
+                    prop_assert_eq!(co.len(), seq.len(), "{}", ctx);
+                    for (qi, (c, s)) in co.iter().zip(&seq).enumerate() {
+                        prop_assert_eq!(
+                            key(&c.neighbors), key(&s.neighbors), "query {} {}", qi, ctx
+                        );
+                        prop_assert_eq!(c.stats, s.stats, "query {} {}", qi, ctx);
+                    }
+                    prop_assert_eq!(
+                        (c_co.get_f32(), c_co.get_u8()),
+                        (c_seq.get_f32(), c_seq.get_u8()),
+                        "{}", ctx
                     );
                 }
             }
